@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..apps.kvstore.server import KeyDbResult
+from ..apps.kvstore.core import KeyDbResult
 from ..apps.llm import LLM_CONFIGS, LlmServingExperiment, ServingPoint
 from ..apps.spark import SPARK_CONFIGS
 from ..apps.spark.job import QueryResult
@@ -267,8 +267,12 @@ def fig5_sweep_spec(
     configuration against the same workload draw.  ``observed=True``
     swaps in the task variant that also snapshots a per-cell
     ``repro.metrics/v1`` document (used by ``repro sweep fig5``).
+    ``backend="des"`` runs every cell on the epoch KeyDB driver
+    (:class:`~repro.apps.kvstore.server.KeyDbServer`, with the tiering
+    daemon for ``hot-promote``), not on the discrete-event engine.
     ``backend="auto"`` routes steady-state cells to the analytical
-    model and the hot-promotion transient to the DES, per point.
+    model and the hot-promotion transient to the epoch driver, per
+    point.
     """
     return SweepSpec(
         name="fig5",

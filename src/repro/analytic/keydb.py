@@ -1,7 +1,7 @@
 """Closed-form steady-state KeyDB model (the Fig. 5 / Fig. 8 fast path).
 
-The DES (:mod:`repro.apps.kvstore.server`) prices hundreds of thousands
-of individual YCSB operations; its epoch loop is a fixed-point solver
+The ``des`` backend (the epoch driver, :mod:`repro.apps.kvstore.server`)
+prices hundreds of thousands of individual YCSB operations; its epoch loop is a fixed-point solver
 in disguise (see the module docstring there).  This model computes the
 same steady state directly:
 
@@ -31,12 +31,12 @@ same steady state directly:
    promotions rate-limited by the same byte budget, threshold doubling
    /halving as in the kernel patch.  Tiering is a *transient* process,
    so this is the model's weakest approximation — `auto` backend
-   selection routes hot-promote cells to the DES (see
+   selection routes hot-promote cells to the epoch driver (see
    :mod:`repro.analytic.select`); the analytic variant remains useful
    for capacity-planning scans and is validated with a looser pinned
    tolerance.
 
-The output is a real :class:`~repro.apps.kvstore.server.KeyDbResult` —
+The output is a real :class:`~repro.apps.kvstore.core.KeyDbResult` —
 histograms populated from the latency-class mixture with
 largest-remainder integer rounding, counters matching the DES keys —
 so every downstream consumer (figure tables, metrics registries, merged
@@ -56,7 +56,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..apps.kvstore.server import MIGRATION_BANDWIDTH, KeyDbResult
+from ..apps.kvstore.core import MIGRATION_BANDWIDTH, KeyDbResult
 from ..apps.kvstore.store import ServiceProfile
 from ..errors import ConfigurationError
 from ..hw.presets import paper_cxl_platform

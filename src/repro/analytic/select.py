@@ -15,13 +15,19 @@ target    routing under ``--backend auto``
 ========  =====================================================
 fig3      analytic (closed form is bit-identical to the DES)
 fig4      analytic (same; pattern is API fidelity, not physics)
-fig5      analytic, except ``hot-promote`` cells -> DES (the
+fig5      analytic, except ``hot-promote`` cells -> des (the
           migration ramp is a transient)
 fig8      analytic (single-node steady state)
-fig7      DES (Spark stage model has no analytic counterpart)
-fig10     DES (serving-rate search)
-overload  DES (admission-control transients)
+fig7      des (Spark stage model has no analytic counterpart)
+fig10     des (serving-rate search)
+overload  des (admission-control transients)
 ========  =====================================================
+
+``des`` names the simulating backend, which is not always the
+discrete-event engine: fig5 and fig8 run the *epoch* KeyDB driver
+(:class:`~repro.apps.kvstore.server.KeyDbServer`), the only KeyDB
+driver with a tiering daemon; overload runs the event-driven one
+(:class:`~repro.apps.kvstore.des_server.DesKeyDbServer`).
 
 ``--backend analytic`` *forces* the fast path and is rejected with a
 :class:`~repro.errors.ConfigurationError` on targets that have none —
@@ -62,7 +68,8 @@ def select_backend(target: str, params: Mapping[str, Any]) -> str:
         return "des"
     if target == "fig5" and params.get("config") == "hot-promote":
         # The hot-promotion cell's figure of merit is the migration
-        # transient; keep it on the event-driven path.
+        # transient; keep it on the epoch driver, whose tiering daemon
+        # simulates it.
         return "des"
     return "analytic"
 

@@ -9,7 +9,8 @@ from .experiment import (
 )
 from .des_server import DesKeyDbServer
 from .flash import FlashTier
-from .server import KeyDbResult, KeyDbServer
+from .core import KeyDbResult
+from .server import KeyDbServer
 from .store import AccessPlan, KeyValueStore, ServiceProfile
 
 __all__ = [

@@ -1,43 +1,60 @@
-"""Event-driven KeyDB: the closed-loop DES counterpart of the epoch model.
+"""Event-driven KeyDB: the DES counterpart of the epoch driver.
 
 :class:`~repro.apps.kvstore.server.KeyDbServer` advances in epochs — a
-fast fixed-point over thousands of operations.  This module runs the
-*same* store and pricing through the discrete-event engine instead:
+fast fixed-point over thousands of operations.  This driver prices ops
+with the *same* :class:`~repro.apps.kvstore.core.KeyDbCore` on the
+discrete-event engine instead; it backs ``repro metrics`` / ``repro
+trace``, the overload capacity calibration and the offered-load sweeps:
 
 * the server's threads are a FIFO :class:`~repro.sim.resources.Resource`
   (seven slots, as in §4.1.1);
 * each closed-loop client process draws an operation, waits for a
   thread, holds it for the op's priced service time, and immediately
-  issues the next request;
+  issues the next request (:meth:`DesKeyDbServer.run_open_loop` offers
+  Poisson arrivals instead);
 * latencies now include *queueing for a server thread*, which the epoch
   model folds into its averaging.
 
-Running both and comparing (see ``tests/apps/test_des_server.py``)
-validates the epoch scheme's shortcut: aggregate throughput agrees to
-within a few percent while the DES path additionally exposes the
-thread-contention component of the tails.
+It runs no tiering daemon, so a ``hot-promote`` store stays at its
+initial placement here.  Running both drivers and comparing (see
+``tests/apps/test_des_server.py``) validates the epoch scheme's
+shortcut: aggregate throughput agrees to within a few percent while the
+DES path additionally exposes the thread-contention component of the
+tails.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
+from dataclasses import dataclass, field
 from typing import Deque, Dict, Optional
 
 import numpy as np
 
 from ...errors import ConfigurationError
 from ...faults.injector import FaultInjector
-from ...hw.paths import MemoryPath
 from ...hw.topology import Platform
 from ...obs.tracing import NULL_TRACER, Tracer
 from ...overload.policy import REASON_QUEUE_FULL, OverloadController
 from ...sim.engine import Event, Simulator
 from ...sim.resources import Resource
 from ...workloads.ycsb import YcsbGenerator
-from .server import KeyDbResult
+from .core import KeyDbCore, KeyDbResult, LatencyTables, touched_bytes
 from .store import KeyValueStore
 
 __all__ = ["DesKeyDbServer"]
+
+
+@dataclass
+class _Window:
+    """One run's completions and its traffic since the last refresh."""
+
+    tables: LatencyTables  # latencies new ops are priced at until then
+    done: int = 0
+    start_ns: float = 0.0
+    read_bytes: Dict[int, float] = field(default_factory=dict)
+    write_bytes: Dict[int, float] = field(default_factory=dict)
 
 
 class DesKeyDbServer:
@@ -72,71 +89,30 @@ class DesKeyDbServer:
         #: Optional :class:`repro.obs.profile.EngineProfile` installed
         #: on each run's simulator.
         self.engine_profile = engine_profile
-        self._paths: Dict[int, MemoryPath] = {}
-        self._utilization: Dict[str, float] = {}
-        self._lat_cache: Dict[int, Dict[int, float]] = {}
+        self.core = KeyDbCore(platform, store, socket)
 
     def attach_overload(self, controller: OverloadController) -> None:
         """Enable admission control and deadline shedding on this server."""
         self.overload = controller
 
-    def _path(self, node_id: int) -> MemoryPath:
-        if node_id not in self._paths:
-            self._paths[node_id] = self.platform.path(self.socket, node_id)
-        return self._paths[node_id]
-
-    def _latency_tables(self) -> None:
-        self._lat_cache = {
-            0: {
-                n: self._path(n).loaded_latency_ns(
-                    self._path(n).bottleneck_utilization(self._utilization), 0.0
-                )
-                for n in self.platform.nodes
-            },
-            1: {
-                n: self._path(n).loaded_latency_ns(
-                    self._path(n).bottleneck_utilization(self._utilization), 1.0
-                )
-                for n in self.platform.nodes
-            },
-        }
-        mix = self.store.node_mix()
-        self._struct = {
-            w: sum(frac * self._lat_cache[w][n] for n, frac in mix.items())
-            for w in (0, 1)
-        }
-
-    def _price(self, plan) -> float:
-        w = 1 if plan.is_write else 0
-        time_ns = self.store.profile.cpu_ns
-        time_ns += plan.struct_accesses * self._struct[w]
-        time_ns += plan.value_accesses * self._lat_cache[w][plan.value_page.node_id]
-        if self.store.flash is not None:
-            if plan.ssd_read_bytes:
-                time_ns += self.store.flash.read_time_ns(plan.ssd_read_bytes)
-            if plan.ssd_write_bytes:
-                time_ns += self.store.flash.write_time_ns(plan.ssd_write_bytes)
-        return time_ns
-
     def _emit_op_trace(
         self,
         plan,
+        tables: LatencyTables,
         arrival_ns: float,
         service_start_ns: float,
         end_ns: float,
         service_ns: float,
-        cpu_ns: float,
-        struct_ns: float,
-        value_ns: float,
-        degrade_ns: float = 0.0,
+        degrade_ns: float,
     ) -> None:
         """Record one op's per-layer spans; they sum to ``end - arrival``.
 
-        The layer components were captured at pricing time (a
-        utilization refresh may retune the latency tables mid-service),
+        The layer components come from the tables the op was priced at
+        (a utilization refresh may retune the run's tables mid-service),
         and the SSD share is derived as the pricing residual so the
         spans reproduce the priced service time exactly.
         """
+        cpu_ns, struct_ns, value_ns = self.core.components(plan, tables)
         op = self.tracer.op("ycsb.set" if plan.is_write else "ycsb.get", arrival_ns)
         op.span("admission", "queue_wait", arrival_ns,
                 service_start_ns - arrival_ns)
@@ -159,107 +135,103 @@ class DesKeyDbServer:
             op.span("device", "fault_degrade", t, degrade_ns)
         op.finish(end_ns)
 
+    def _simulator(self) -> Simulator:
+        sim = Simulator()
+        if self.engine_profile is not None:
+            self.engine_profile.attach(sim)
+        return sim
+
+    def _serve(self, sim, op, arrival_ns, request, window, result, injector=None):
+        """Plan, price and hold one op's service (a sub-generator).
+
+        Returns the op's plan, or None when the op could not meet its
+        deadline and was shed before service.
+        """
+        plan_op = self.store.plan_set if op.is_write else self.store.plan_get
+        plan = plan_op(op.key, sim.now)
+        tables = window.tables
+        service = base_ns = self.core.price(plan, tables)
+        if injector is not None:
+            service *= injector.latency_multiplier(plan.value_page.node_id, sim.now)
+        if (
+            request is not None
+            and self.overload.policy.shed_doomed
+            and request.doomed(sim.now, service)
+        ):
+            # The response could not arrive in time: shed before
+            # burning the service time.
+            result.counters.add("ops_shed_doomed", 1)
+            self.overload.shed(request, sim.now)
+            return None
+        start_ns = sim.now
+        yield sim.timeout(service)
+        if self.tracer.enabled:
+            self._emit_op_trace(plan, tables, arrival_ns, start_ns, sim.now,
+                                base_ns, service - base_ns)
+        return plan
+
+    def _complete(self, now, plan, arrival_ns, request, window, result) -> None:
+        """Account one served op; re-solve latencies every ``refresh_ops``."""
+        latency = now - arrival_ns  # queueing + service
+        if request is not None and not self.overload.complete(request, now, latency):
+            result.counters.add("deadline_misses", 1)
+        if plan.is_write:
+            result.write_latency.record(latency)
+        else:
+            result.read_latency.record(latency)
+        node = plan.value_page.node_id
+        node_bytes = window.write_bytes if plan.is_write else window.read_bytes
+        node_bytes[node] = node_bytes.get(node, 0.0) + touched_bytes(plan)
+        window.done += 1
+        if window.done % self.refresh_ops:
+            return
+        if self.core.refresh(window.read_bytes, window.write_bytes,
+                             now - window.start_ns):
+            window.tables = self.core.tables(self.store.node_mix())
+        window.start_ns = now
+        window.read_bytes.clear()
+        window.write_bytes.clear()
+        if self.overload is not None:
+            self.overload.note_utilization(
+                max(self.core.utilization.values(), default=0.0), now
+            )
+
     def run(self, generator: YcsbGenerator, total_ops: int) -> KeyDbResult:
         """Run the closed loop until ``total_ops`` complete."""
         if total_ops <= 0:
             raise ConfigurationError("total_ops must be positive")
-        sim = Simulator()
-        if self.engine_profile is not None:
-            self.engine_profile.attach(sim)
-        tracer = self.tracer
+        sim = self._simulator()
         server_threads = Resource(sim, self.threads)
         result = KeyDbResult()
-        self._latency_tables()
-        state = {"issued": 0, "done": 0, "since_refresh": 0}
-        node_bytes: Dict[int, float] = {}
-        node_write_bytes: Dict[int, float] = {}
-        refresh_anchor = {"t": 0.0}
+        window = _Window(self.core.tables(self.store.node_mix()))
+        issued = 0
 
         def client():
-            while state["issued"] < total_ops:
-                state["issued"] += 1
+            nonlocal issued
+            while issued < total_ops:
+                issued += 1
                 op = generator.next_operation()
                 arrival = sim.now
                 request = None
                 if self.overload is not None:
                     request = self.overload.make_request(
                         arrival,
-                        priority=state["issued"]
-                        % self.overload.policy.priority_levels,
+                        priority=issued % self.overload.policy.priority_levels,
                     )
                     admitted, _ = self.overload.try_admit(request, arrival)
                     if not admitted:
                         result.counters.add("ops_rejected", 1)
                         continue
-                grant = server_threads.request()
-                yield grant
-                if op.is_write:
-                    plan = self.store.plan_set(op.key, sim.now)
-                else:
-                    plan = self.store.plan_get(op.key, sim.now)
-                service = self._price(plan)
-                if (
-                    request is not None
-                    and self.overload.policy.shed_doomed
-                    and request.doomed(sim.now, service)
-                ):
-                    # The thread is free again but the response could not
-                    # arrive in time: shed before burning the service time.
-                    server_threads.release()
-                    result.counters.add("ops_shed_doomed", 1)
-                    self.overload.shed(request, sim.now)
-                    continue
-                if tracer.enabled:
-                    w = 1 if plan.is_write else 0
-                    trace_start = sim.now
-                    trace_cpu = self.store.profile.cpu_ns
-                    trace_struct = plan.struct_accesses * self._struct[w]
-                    trace_value = (
-                        plan.value_accesses
-                        * self._lat_cache[w][plan.value_page.node_id]
-                    )
-                yield sim.timeout(service)
-                if tracer.enabled:
-                    self._emit_op_trace(
-                        plan, arrival, trace_start, sim.now, service,
-                        trace_cpu, trace_struct, trace_value,
-                    )
+                yield server_threads.request()
+                plan = yield from self._serve(sim, op, arrival, request, window, result)
                 server_threads.release()
-                total_latency = sim.now - arrival  # queueing + service
-                if request is not None:
-                    if not self.overload.complete(request, sim.now, total_latency):
-                        result.counters.add("deadline_misses", 1)
-                if plan.is_write:
-                    result.write_latency.record(total_latency)
-                else:
-                    result.read_latency.record(total_latency)
-                node = plan.value_page.node_id
-                touched = plan.value_bytes + 64 * (
-                    plan.struct_accesses + plan.value_accesses
-                )
-                node_bytes[node] = node_bytes.get(node, 0.0) + touched
-                if plan.is_write:
-                    node_write_bytes[node] = (
-                        node_write_bytes.get(node, 0.0) + touched
-                    )
-                state["done"] += 1
-                state["since_refresh"] += 1
-                if state["since_refresh"] >= self.refresh_ops:
-                    state["since_refresh"] = 0
-                    self._refresh(node_bytes, node_write_bytes,
-                                  sim.now - refresh_anchor["t"])
-                    refresh_anchor["t"] = sim.now
-                    node_bytes.clear()
-                    node_write_bytes.clear()
-                    if self.overload is not None:
-                        self.overload.note_utilization(
-                            max(self._utilization.values(), default=0.0), sim.now
-                        )
+                if plan is not None:
+                    self._complete(sim.now, plan, arrival, request, window, result)
 
         for _ in range(self.clients):
             sim.process(client())
         sim.run()
-        result.ops = state["done"]
+        result.ops = window.done
         result.elapsed_ns = sim.now
         return result
 
@@ -287,31 +259,27 @@ class DesKeyDbServer:
             raise ConfigurationError("arrival_rate_ops_per_s must be positive")
         if duration_ns <= 0:
             raise ConfigurationError("duration_ns must be positive")
-        sim = Simulator()
-        if self.engine_profile is not None:
-            self.engine_profile.attach(sim)
-        tracer = self.tracer
+        sim = self._simulator()
         rng = np.random.default_rng(seed)
         result = KeyDbResult()
-        self._latency_tables()
+        window = _Window(self.core.tables(self.store.node_mix()))
         queue = self.overload.new_queue() if self.overload is not None else None
         backlog: Deque = deque()  # uncontrolled path: unbounded FIFO
         idle: Deque[Event] = deque()
-        state = {"done": 0, "since_refresh": 0, "closed": False}
-        node_bytes: Dict[int, float] = {}
-        node_write_bytes: Dict[int, float] = {}
-        refresh_anchor = {"t": 0.0}
+        closed = False
         mean_gap_ns = 1e9 / arrival_rate_ops_per_s
         stop = object()  # sentinel waking idle workers at shutdown
 
         def take_next():
-            if queue is not None:
-                return queue.take(sim.now)
-            return backlog.popleft() if backlog else None
+            """The next ``(request, arrival_ns, op)`` to serve, or None."""
+            if queue is None:
+                return backlog.popleft() if backlog else None
+            request = queue.take(sim.now)
+            return None if request is None else (request, request.arrival_ns, request.payload)
 
         def arrivals():
-            seq = 0
-            while True:
+            nonlocal closed
+            for seq in itertools.count():
                 yield sim.timeout(rng.exponential(mean_gap_ns))
                 if sim.now >= duration_ns:
                     break
@@ -328,20 +296,17 @@ class DesKeyDbServer:
                         self.overload.metrics.reject(REASON_QUEUE_FULL)
                         queue.rejected_full += 1
                         result.counters.add("ops_rejected", 1)
-                        seq += 1
                         continue
                     admitted, _ = self.overload.try_admit(request, sim.now)
                     if not admitted:
                         result.counters.add("ops_rejected", 1)
-                        seq += 1
                         continue
                     queue.offer(request)
                 else:
-                    backlog.append((sim.now, op))
+                    backlog.append((None, sim.now, op))
                 if idle:
                     idle.popleft().succeed()
-                seq += 1
-            state["closed"] = True
+            closed = True
             while idle:
                 idle.popleft().succeed(stop)
 
@@ -349,7 +314,7 @@ class DesKeyDbServer:
             while True:
                 entry = take_next()
                 if entry is None:
-                    if state["closed"]:
+                    if closed:
                         return
                     gate = sim.event()
                     idle.append(gate)
@@ -357,76 +322,12 @@ class DesKeyDbServer:
                     if value is stop:
                         return
                     continue
-                if queue is not None:
-                    request, op = entry, entry.payload
-                    arrival = entry.arrival_ns
-                else:
-                    request = None
-                    arrival, op = entry
-                if op.is_write:
-                    plan = self.store.plan_set(op.key, sim.now)
-                else:
-                    plan = self.store.plan_get(op.key, sim.now)
-                service = base_service = self._price(plan)
-                if injector is not None:
-                    service *= injector.latency_multiplier(
-                        plan.value_page.node_id, sim.now
-                    )
-                if (
-                    request is not None
-                    and self.overload.policy.shed_doomed
-                    and request.doomed(sim.now, service)
-                ):
-                    result.counters.add("ops_shed_doomed", 1)
-                    self.overload.shed(request, sim.now)
-                    continue
-                if tracer.enabled:
-                    w = 1 if plan.is_write else 0
-                    trace_start = sim.now
-                    trace_cpu = self.store.profile.cpu_ns
-                    trace_struct = plan.struct_accesses * self._struct[w]
-                    trace_value = (
-                        plan.value_accesses
-                        * self._lat_cache[w][plan.value_page.node_id]
-                    )
-                yield sim.timeout(service)
-                if tracer.enabled:
-                    self._emit_op_trace(
-                        plan, arrival, trace_start, sim.now, base_service,
-                        trace_cpu, trace_struct, trace_value,
-                        degrade_ns=service - base_service,
-                    )
-                latency = sim.now - arrival  # queueing + service
-                if request is not None:
-                    if not self.overload.complete(request, sim.now, latency):
-                        result.counters.add("deadline_misses", 1)
-                if plan.is_write:
-                    result.write_latency.record(latency)
-                else:
-                    result.read_latency.record(latency)
-                node = plan.value_page.node_id
-                touched = plan.value_bytes + 64 * (
-                    plan.struct_accesses + plan.value_accesses
+                request, arrival, op = entry
+                plan = yield from self._serve(
+                    sim, op, arrival, request, window, result, injector
                 )
-                node_bytes[node] = node_bytes.get(node, 0.0) + touched
-                if plan.is_write:
-                    node_write_bytes[node] = (
-                        node_write_bytes.get(node, 0.0) + touched
-                    )
-                state["done"] += 1
-                state["since_refresh"] += 1
-                if state["since_refresh"] >= self.refresh_ops:
-                    state["since_refresh"] = 0
-                    self._refresh(node_bytes, node_write_bytes,
-                                  sim.now - refresh_anchor["t"])
-                    refresh_anchor["t"] = sim.now
-                    node_bytes.clear()
-                    node_write_bytes.clear()
-                    if self.overload is not None:
-                        self.overload.note_utilization(
-                            max(self._utilization.values(), default=0.0),
-                            sim.now,
-                        )
+                if plan is not None:
+                    self._complete(sim.now, plan, arrival, request, window, result)
 
         sim.process(arrivals())
         for _ in range(self.threads):
@@ -434,27 +335,6 @@ class DesKeyDbServer:
         sim.run()
         if queue is not None:
             result.counters.add("ops_shed_expired", queue.shed_expired)
-        result.ops = state["done"]
+        result.ops = window.done
         result.elapsed_ns = max(sim.now, duration_ns)
         return result
-
-    def _refresh(
-        self,
-        node_bytes: Dict[int, float],
-        node_write_bytes: Dict[int, float],
-        window_ns: float,
-    ) -> None:
-        if window_ns <= 0:
-            return
-        demands = []
-        for node, total in node_bytes.items():
-            writes = node_write_bytes.get(node, 0.0)
-            rate = total / (window_ns / 1e9)
-            demands.append(
-                self.platform.demand(
-                    f"des/{node}", self._path(node), rate, writes / total
-                )
-            )
-        if demands:
-            self._utilization = self.platform.allocate(demands).utilization
-        self._latency_tables()

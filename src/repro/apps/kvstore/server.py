@@ -1,14 +1,18 @@
-"""The KeyDB server model: multi-threaded closed-loop operation pricing.
+"""The epoch KeyDB driver: multi-threaded closed-loop operation pricing.
 
 KeyDB runs several *server threads* over the standard Redis event loop
-(seven in the paper, §4.1.1).  The simulation advances in epochs:
+(seven in the paper, §4.1.1).  This driver produces Fig. 5, Fig. 8 and
+the fault-catalog runs, and is the only KeyDB driver that runs a tiering
+daemon.  The simulation advances in epochs:
 
 1. draw a batch of YCSB operations and resolve each to an
    :class:`~repro.apps.kvstore.store.AccessPlan` (touching pages so the
    tiering daemons see real access history);
-2. price every plan using the *current* loaded latencies — structure
-   walks at the store's placement mix, value accesses at the key's own
-   page, SSD faults/persistence at the FLASH tier;
+2. price every plan with the shared
+   :class:`~repro.apps.kvstore.core.KeyDbCore` at the *current* loaded
+   latencies — structure walks at the epoch's access mix, value
+   accesses at the key's own page, SSD faults/persistence at the FLASH
+   tier;
 3. advance the clock by ``sum(op times) / threads`` (threads drain the
    closed-loop client in parallel);
 4. feed the epoch's traffic back through the platform's bandwidth
@@ -25,7 +29,7 @@ memory bandwidth").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Optional
 
 from ...errors import (
@@ -38,49 +42,16 @@ from ...errors import (
 from ...faults.injector import FaultInjector
 from ...faults.metrics import RecoveryTracker
 from ...faults.retry import RetryPolicy, retry_call
-from ...hw.paths import MemoryPath
 from ...hw.topology import Platform
 from ...mem.page import Page
 from ...mem.tiering.base import TieringDaemon
 from ...overload.policy import OverloadController
-from ...sim.stats import Counter, LatencyHistogram
-from ...units import gb_per_s
+from ...sim.stats import Counter
 from ...workloads.ycsb import YcsbGenerator
+from .core import MIGRATION_BANDWIDTH, KeyDbCore, KeyDbResult, touched_bytes
 from .store import AccessPlan, KeyValueStore
 
-__all__ = ["KeyDbResult", "KeyDbServer"]
-
-#: Effective single-threaded kernel page-copy bandwidth for migrations.
-MIGRATION_BANDWIDTH = gb_per_s(6.0)
-
-
-@dataclass
-class KeyDbResult:
-    """Outcome of one KeyDB run."""
-
-    ops: int = 0
-    elapsed_ns: float = 0.0
-    read_latency: LatencyHistogram = field(
-        default_factory=lambda: LatencyHistogram(min_value=50.0)
-    )
-    write_latency: LatencyHistogram = field(
-        default_factory=lambda: LatencyHistogram(min_value=50.0)
-    )
-    counters: Counter = field(default_factory=Counter)
-
-    @property
-    def throughput_ops_per_s(self) -> float:
-        """Aggregate operations per second."""
-        if self.elapsed_ns <= 0:
-            return 0.0
-        return self.ops / (self.elapsed_ns / 1e9)
-
-    def tail_latencies_us(self) -> Dict[str, float]:
-        """p50/p95/p99/p99.9 read latencies in microseconds (Fig. 5(b))."""
-        return {
-            f"p{p}": self.read_latency.percentile(p) / 1000.0
-            for p in (50, 95, 99, 99.9)
-        }
+__all__ = ["KeyDbServer"]
 
 
 class KeyDbServer:
@@ -101,8 +72,7 @@ class KeyDbServer:
         self.threads = threads
         self.socket = socket
         self.tiering = tiering
-        self._paths: Dict[int, MemoryPath] = {}
-        self._utilization: Dict[str, float] = {}
+        self.core = KeyDbCore(platform, store, socket)
         #: Access-weighted node mix of the previous epoch.  Shared server
         #: structures (hash buckets, robjs) are touched in proportion to
         #: key popularity, so after Hot-Promote converges the structure
@@ -158,70 +128,13 @@ class KeyDbServer:
         if self.faults is not None and not controller.has_fault_signal:
             controller.bind_faults(self.faults)
 
-    def _path(self, node_id: int) -> MemoryPath:
-        if node_id not in self._paths:
-            self._paths[node_id] = self.platform.path(self.socket, node_id)
-        return self._paths[node_id]
-
-    def _node_latency(self, node_id: int, write_fraction: float) -> float:
-        path = self._path(node_id)
-        u = path.bottleneck_utilization(self._utilization)
-        return path.loaded_latency_ns(u, write_fraction)
-
-    def _epoch_latency_tables(self) -> "tuple[Dict[int, float], Dict[int, float], float, float]":
-        """Precompute per-node and mix-average latencies for one epoch.
-
-        Latencies change only when utilization or placement changes —
-        once per epoch — so pricing 2000 ops must not recompute the
-        placement mix 2000 times.
-        """
-        mix = self._access_mix or self.store.node_mix()
-        read_lat = {n: self._node_latency(n, 0.0) for n in self.platform.nodes}
-        write_lat = {n: self._node_latency(n, 1.0) for n in self.platform.nodes}
-        if self.faults is not None:
-            for n in read_lat:
-                mult = self.faults.latency_multiplier(n, self.now_ns)
-                if mult != 1.0:
-                    read_lat[n] *= mult
-                    write_lat[n] *= mult
-        struct_read = sum(frac * read_lat[n] for n, frac in mix.items())
-        struct_write = sum(frac * write_lat[n] for n, frac in mix.items())
-        return read_lat, write_lat, struct_read, struct_write
-
-    def _price(
-        self,
-        plan: AccessPlan,
-        ssd_utilization: float,
-        read_lat: Dict[int, float],
-        write_lat: Dict[int, float],
-        struct_read: float,
-        struct_write: float,
-    ) -> float:
-        """Service time of one operation at current latencies."""
-        if plan.is_write:
-            node_lat = write_lat[plan.value_page.node_id]
-            struct_lat = struct_write
-        else:
-            node_lat = read_lat[plan.value_page.node_id]
-            struct_lat = struct_read
-        time_ns = self.store.profile.cpu_ns
-        time_ns += plan.struct_accesses * struct_lat
-        time_ns += plan.value_accesses * node_lat
-        if self.store.flash is not None:
-            if plan.ssd_read_bytes:
-                time_ns += self.store.flash.read_time_ns(
-                    plan.ssd_read_bytes, ssd_utilization
-                )
-            if plan.ssd_write_bytes:
-                time_ns += self.store.flash.write_time_ns(
-                    plan.ssd_write_bytes, ssd_utilization
-                )
-        return time_ns
-
     # -- degradation policy ------------------------------------------------
 
-    def _failover_page(self, page: Page) -> bool:
-        """Remap a page off its (failed/poisoned) node onto healthy DRAM."""
+    def _failover_page(self, page: Page, counters: Counter) -> float:
+        """Remap a page off its (failed/poisoned) node onto healthy DRAM.
+
+        Returns the copy time; 0.0 when no healthy node took the page.
+        """
         for node in self.platform.dram_nodes(online_only=True):
             if node.node_id == page.node_id:
                 continue
@@ -229,8 +142,9 @@ class KeyDbServer:
                 self.store.space.move_page(page, node.node_id)
             except MigrationError:
                 continue
-            return True
-        return False
+            counters.add("failover_bytes", page.size)
+            return page.size / MIGRATION_BANDWIDTH * 1e9
+        return 0.0
 
     def _apply_fault_policy(
         self, plan: AccessPlan, counters: Counter
@@ -262,16 +176,12 @@ class KeyDbServer:
                 # FLASH copy; the rewrite scrubs the poison.  The retry
                 # (after backoff) then lands on clean memory.
                 counters.add("poison_reads", 1)
-                if self._failover_page(page):
-                    counters.add("failover_bytes", page.size)
-                    extra += page.size / MIGRATION_BANDWIDTH * 1e9
+                extra += self._failover_page(page, counters)
                 faults.scrub(page)
                 raise
             except DeviceFaultError:
                 counters.add("device_fault_reads", 1)
-                if self._failover_page(page):
-                    counters.add("failover_bytes", page.size)
-                    extra += page.size / MIGRATION_BANDWIDTH * 1e9
+                extra += self._failover_page(page, counters)
                 raise
             return True
 
@@ -299,17 +209,26 @@ class KeyDbServer:
         result = KeyDbResult()
         ssd_utilization = 0.0
         done = 0
+
+        def drop(counter: str, at_ns: float, spent_ns: float = 0.0) -> None:
+            """Count an op that will not complete; a failure to the tracker."""
+            nonlocal shed
+            shed += 1
+            result.counters.add(counter, 1)
+            if measuring and self.recovery is not None:
+                self.recovery.record(at_ns, spent_ns, ok=False)
+
         while done < total_ops:
+            degrade = None
             if self.faults is not None:
                 self.faults.advance(self.now_ns)
+                degrade = partial(self.faults.latency_multiplier, now_ns=self.now_ns)
             batch = min(epoch_ops, total_ops - done)
             plans = []
             for _ in range(batch):
                 op = generator.next_operation()
-                if op.is_write:
-                    plans.append(self.store.plan_set(op.key, self.now_ns))
-                else:
-                    plans.append(self.store.plan_get(op.key, self.now_ns))
+                plan_op = self.store.plan_set if op.is_write else self.store.plan_get
+                plans.append(plan_op(op.key, self.now_ns))
 
             measuring = done >= warmup_ops
             epoch_busy_ns = 0.0
@@ -317,7 +236,9 @@ class KeyDbServer:
             node_read_bytes: Dict[int, float] = {}
             node_write_bytes: Dict[int, float] = {}
             shed = 0
-            read_lat, write_lat, struct_read, struct_write = self._epoch_latency_tables()
+            # Structure walks follow the previous epoch's access mix (the
+            # placement mix before the first epoch).
+            tables = self.core.tables(self._access_mix or self.store.node_mix(), degrade)
             for plan in plans:
                 request = None
                 if self.overload is not None:
@@ -329,10 +250,7 @@ class KeyDbServer:
                     self._op_seq += 1
                     admitted, _ = self.overload.try_admit(request, arrival)
                     if not admitted:
-                        shed += 1
-                        result.counters.add("ops_rejected", 1)
-                        if measuring and self.recovery is not None:
-                            self.recovery.record(arrival, 0.0, ok=False)
+                        drop("ops_rejected", arrival)
                         continue
                 fault_extra = 0.0
                 if self.faults is not None:
@@ -341,24 +259,12 @@ class KeyDbServer:
                     )
                     epoch_busy_ns += fault_extra
                     if not serviceable:
-                        shed += 1
-                        result.counters.add("ops_shed", 1)
+                        at_ns = self.now_ns + epoch_busy_ns / self.threads
                         if request is not None:
-                            self.overload.shed(
-                                request,
-                                self.now_ns + epoch_busy_ns / self.threads,
-                                reason="fault",
-                            )
-                        if measuring and self.recovery is not None:
-                            self.recovery.record(
-                                self.now_ns + epoch_busy_ns / self.threads,
-                                fault_extra,
-                                ok=False,
-                            )
+                            self.overload.shed(request, at_ns, reason="fault")
+                        drop("ops_shed", at_ns, fault_extra)
                         continue
-                t = self._price(
-                    plan, ssd_utilization, read_lat, write_lat, struct_read, struct_write
-                )
+                t = self.core.price(plan, tables, ssd_utilization)
                 if (
                     request is not None
                     and self.overload.policy.shed_doomed
@@ -366,11 +272,8 @@ class KeyDbServer:
                 ):
                     # The op cannot meet its deadline even if serviced
                     # now: shed it before it occupies a server thread.
-                    shed += 1
-                    result.counters.add("ops_shed_doomed", 1)
                     self.overload.shed(request, request.arrival_ns)
-                    if measuring and self.recovery is not None:
-                        self.recovery.record(request.arrival_ns, 0.0, ok=False)
+                    drop("ops_shed_doomed", request.arrival_ns)
                     continue
                 epoch_busy_ns += t
                 finish_ns = self.now_ns + epoch_busy_ns / self.threads
@@ -395,13 +298,8 @@ class KeyDbServer:
                         )
                 ssd_bytes += plan.ssd_read_bytes + plan.ssd_write_bytes
                 node = plan.value_page.node_id
-                touched = plan.value_bytes + 64 * (
-                    plan.struct_accesses + plan.value_accesses
-                )
-                if plan.is_write:
-                    node_write_bytes[node] = node_write_bytes.get(node, 0.0) + touched
-                else:
-                    node_read_bytes[node] = node_read_bytes.get(node, 0.0) + touched
+                node_bytes = node_write_bytes if plan.is_write else node_read_bytes
+                node_bytes[node] = node_bytes.get(node, 0.0) + touched_bytes(plan)
 
             epoch_ns = epoch_busy_ns / self.threads
             # Tiering daemon reacts to the access history of this epoch.
@@ -422,10 +320,10 @@ class KeyDbServer:
 
             # Refresh utilizations and the access-weighted node mix from
             # this epoch's traffic.
-            self._refresh_utilization(node_read_bytes, node_write_bytes, epoch_ns)
+            self.core.refresh(node_read_bytes, node_write_bytes, epoch_ns)
             if self.overload is not None:
                 self.overload.note_utilization(
-                    max(self._utilization.values(), default=0.0), self.now_ns
+                    max(self.core.utilization.values(), default=0.0), self.now_ns
                 )
             total_touched = sum(node_read_bytes.values()) + sum(node_write_bytes.values())
             if total_touched > 0:
@@ -436,33 +334,6 @@ class KeyDbServer:
                 }
             ssd_utilization = self._ssd_utilization(ssd_bytes, epoch_ns)
         return result
-
-    def _refresh_utilization(
-        self,
-        node_read_bytes: Dict[int, float],
-        node_write_bytes: Dict[int, float],
-        epoch_ns: float,
-    ) -> None:
-        if epoch_ns <= 0:
-            return
-        demands = []
-        nodes = set(node_read_bytes) | set(node_write_bytes)
-        for node in nodes:
-            reads = node_read_bytes.get(node, 0.0)
-            writes = node_write_bytes.get(node, 0.0)
-            total = reads + writes
-            if total <= 0:
-                continue
-            rate = total / (epoch_ns / 1e9)
-            demands.append(
-                self.platform.demand(
-                    f"keydb/{node}", self._path(node), rate, writes / total
-                )
-            )
-        if demands:
-            self._utilization = self.platform.allocate(demands).utilization
-        else:
-            self._utilization = {}
 
     def _ssd_utilization(self, ssd_bytes: int, epoch_ns: float) -> float:
         if epoch_ns <= 0 or ssd_bytes == 0 or self.store.flash is None:

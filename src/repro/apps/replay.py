@@ -25,13 +25,11 @@ from ..mem.address_space import AddressSpace
 from ..mem.tiering.base import TieringDaemon
 from ..sim.monitor import BandwidthMonitor
 from ..sim.stats import LatencyHistogram
-from ..units import CACHELINE_SIZE, gb_per_s
+from ..units import CACHELINE_SIZE
 from ..workloads.trace import PageTrace
+from .kvstore.core import MIGRATION_BANDWIDTH
 
 __all__ = ["ReplayResult", "TraceReplayer"]
-
-#: Kernel page-copy bandwidth charged for daemon migrations.
-MIGRATION_BANDWIDTH = gb_per_s(6.0)
 
 
 @dataclass
