@@ -169,14 +169,12 @@ class JobManager:
                 job.transition(JobState.QUEUED, "recovered after crash")
                 job.resumed += 1
                 self.recovered += 1
+            state, reason = JobState.QUEUED, ""
             if not self._enqueue_recovered(job):
-                job.transition(
-                    JobState.FAILED,
-                    "shed during recovery: admission queue full",
-                )
+                state = JobState.FAILED
+                reason = "shed during recovery: admission queue full"
+            job.transition_and_emit(state, reason, "queued", resumed=job.resumed)
             write_journal(self.jobs_dir, job)
-            job.emit({"event": "queued", "state": job.state.value,
-                      "resumed": job.resumed})
 
     def _enqueue_recovered(self, job: Job) -> bool:
         from ..overload.deadline import Request
@@ -266,10 +264,9 @@ class JobManager:
         job = self._jobs.get(request.payload)
         if job is None or job.terminal:
             return
-        job.transition(JobState.FAILED, "deadline expired while queued")
+        reason = "deadline expired while queued"
+        job.transition_and_emit(JobState.FAILED, reason, "shed", reason=reason)
         write_journal(self.jobs_dir, job)
-        job.emit({"event": "shed", "state": job.state.value,
-                  "reason": job.reason})
 
     def _evict_terminal(self) -> None:
         # Bound the table: oldest terminal records (and their journal +
@@ -444,10 +441,8 @@ class JobManager:
                        error: Optional[Dict[str, Any]] = None) -> None:
         with self._lock:
             job.error = error
-            job.transition(state, reason)
+            job.transition_and_emit(state, reason, state.value, reason=reason)
             write_journal(self.jobs_dir, job)
-        job.emit({"event": state.value, "state": state.value,
-                  "reason": reason})
 
     # -- results ------------------------------------------------------------
 
@@ -496,10 +491,10 @@ class JobManager:
             if job is None or job.terminal:
                 return job
             if job.state is JobState.QUEUED:
-                job.transition(JobState.CANCELLED, "cancelled by client")
+                reason = "cancelled by client"
+                job.transition_and_emit(JobState.CANCELLED, reason, "cancelled",
+                                        reason=reason)
                 write_journal(self.jobs_dir, job)
-                job.emit({"event": "cancelled", "state": job.state.value,
-                          "reason": job.reason})
                 return job
             job.cancel_intent = "cancel"
             job.cancel.set()

@@ -334,6 +334,19 @@ class Job:
             self.events.append(event)
             self.events_cond.notify_all()
 
+    def transition_and_emit(self, state: JobState, reason: str, event: str, /,
+                            **fields: Any) -> None:
+        """Move to ``state`` and append its ``event`` in one step.
+
+        Stream readers check :attr:`terminal` under ``events_cond``;
+        flipping the state under it too means no reader can see a final
+        state before the event announcing it, and so no stream can close
+        without its terminal line.  The event carries the new state.
+        """
+        with self.events_cond:
+            self.transition(state, reason)
+            self.emit({"event": event, "state": self.state.value, **fields})
+
     def as_dict(self) -> Dict[str, Any]:
         """The JSON job record served over HTTP (and journaled)."""
         return {
