@@ -66,7 +66,7 @@ from ..mem.policy import InterleavePolicy, WeightedInterleavePolicy
 from ..sim.rng import DEFAULT_SEED
 from ..sim.stats import LatencyHistogram
 from ..units import KIB, PAGE_SIZE, gb_per_s
-from ..workloads.distributions import ScrambledZipfianChooser, ZipfianChooser
+from ..workloads.distributions import ZipfianChooser, _fnv_hash_vector
 from ..workloads.ycsb import WORKLOADS, YcsbSpec
 
 __all__ = [
@@ -113,23 +113,6 @@ def zipf_rank_pmf(item_count: int, theta: float = 0.99) -> np.ndarray:
     expensive part and every cell of a figure shares one key space.
     """
     return _rank_pmf_cached(item_count, theta)
-
-
-_FNV_PRIME = np.uint64(ScrambledZipfianChooser._FNV_PRIME)
-_FNV_OFFSET = np.uint64(ScrambledZipfianChooser._FNV_OFFSET)
-
-
-def _fnv_hash_vector(values: np.ndarray) -> np.ndarray:
-    """Vectorized FNV-style scramble, identical to the chooser's."""
-    v = values.astype(np.uint64)
-    h = np.full(v.shape, _FNV_OFFSET, dtype=np.uint64)
-    mask = np.uint64(0xFF)
-    shift = np.uint64(8)
-    with np.errstate(over="ignore"):
-        for _ in range(8):
-            h = (h ^ (v & mask)) * _FNV_PRIME
-            v = v >> shift
-    return h
 
 
 @lru_cache(maxsize=16)

@@ -16,6 +16,8 @@ matters for page-granular placement studies.
 from __future__ import annotations
 
 import abc
+from array import array
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,11 +58,25 @@ class UniformChooser(KeyChooser):
         return int(rng.integers(0, self.item_count))
 
 
+@lru_cache(maxsize=None, typed=True)
+def _zeta_head(theta: float) -> float:
+    """The first 10,000 terms of zeta(n, theta), summed once per theta.
+
+    Every ``grow()`` past 10,000 keys reuses this head and adds only the
+    closed-form tail, as YCSB keeps zeta as a stored partial sum (Gray
+    et al., SIGMOD '94).  The expression is the exact one each call used
+    to re-evaluate, so the bits match the unmemoised sum.
+    """
+    return float(sum(1.0 / (i**theta) for i in range(1, 10_001)))
+
+
 class ZipfianChooser(KeyChooser):
     """Zipfian distribution over keys, YCSB's default skew (theta=0.99).
 
-    Uses the Gray et al. analytic inverse method; ``zeta`` constants are
-    computed once per key-space size.
+    Uses the Gray et al. analytic inverse method.  ``zeta`` constants are
+    refreshed on every ``grow()``: past 10,000 keys that costs O(1), a
+    per-theta memoised head plus a closed-form tail; up to 10,000 keys it
+    is an exact O(n) sum.
     """
 
     def __init__(self, item_count: int, theta: float = 0.99) -> None:
@@ -75,7 +91,7 @@ class ZipfianChooser(KeyChooser):
         # construction stays O(1)-ish for multi-million key spaces.
         if n <= 10_000:
             return float(sum(1.0 / (i**self.theta) for i in range(1, n + 1)))
-        head = float(sum(1.0 / (i**self.theta) for i in range(1, 10_001)))
+        head = _zeta_head(self.theta)
         s = 1.0 - self.theta
         tail = (n**s - 10_000**s) / s
         return head + tail
@@ -110,14 +126,27 @@ class ScrambledZipfianChooser(ZipfianChooser):
     YCSB scrambles the Zipfian rank with a hash so that popular keys are
     not adjacent — without this, the "hot set" would be one contiguous
     page run and the tiering results would be unrealistically easy.
+
+    The 64-bit hash of every rank is tabled (8 bytes per key) on the
+    first draw, and extended when a draw lands past a grown key space,
+    so a draw costs one lookup instead of the eight-step hash.
     """
 
     _FNV_PRIME = 0x100000001B3
     _FNV_OFFSET = 0xCBF29CE484222325
 
+    def __init__(self, item_count: int, theta: float = 0.99) -> None:
+        super().__init__(item_count, theta)
+        self._hashes = array("Q")  # _fnv_hash(rank), indexed by rank
+
     def next_key(self, rng: np.random.Generator) -> int:
         rank = super().next_key(rng)
-        return self._fnv_hash(rank) % self.item_count
+        try:
+            return self._hashes[rank] % self.item_count
+        except IndexError:  # first draw, or a draw past a grown key space
+            ranks = np.arange(len(self._hashes), self.item_count, dtype=np.uint64)
+            self._hashes.frombytes(_fnv_hash_vector(ranks).tobytes())
+            return self._hashes[rank] % self.item_count
 
     @classmethod
     def _fnv_hash(cls, value: int) -> int:
@@ -126,6 +155,23 @@ class ScrambledZipfianChooser(ZipfianChooser):
             h = ((h ^ (value & 0xFF)) * cls._FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
             value >>= 8
         return h
+
+
+_FNV_PRIME = np.uint64(ScrambledZipfianChooser._FNV_PRIME)
+_FNV_OFFSET = np.uint64(ScrambledZipfianChooser._FNV_OFFSET)
+
+
+def _fnv_hash_vector(values: np.ndarray) -> np.ndarray:
+    """Vectorized FNV-style scramble, identical to the chooser's."""
+    v = values.astype(np.uint64)
+    h = np.full(v.shape, _FNV_OFFSET, dtype=np.uint64)
+    mask = np.uint64(0xFF)
+    shift = np.uint64(8)
+    with np.errstate(over="ignore"):
+        for _ in range(8):
+            h = (h ^ (v & mask)) * _FNV_PRIME
+            v = v >> shift
+    return h
 
 
 class LatestChooser(KeyChooser):

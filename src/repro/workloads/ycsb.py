@@ -83,8 +83,41 @@ WORKLOADS: Dict[str, YcsbSpec] = {
 }
 
 
+#: Doubles drawn per ``rng.random(n)`` call by :class:`_UniformBlock`.
+_BLOCK = 1024
+
+
+class _UniformBlock:
+    """``rng.random()`` served from blocks of ``rng.random(_BLOCK)``.
+
+    ``Generator.random(n)`` yields the same doubles, in the same order,
+    as ``n`` scalar calls, so a consumer of ``.random()`` sees the same
+    stream at a fraction of the per-call cost.  The generator is left
+    up to ``_BLOCK - 1`` doubles ahead of what was consumed.
+    """
+
+    __slots__ = ("_rng", "_next")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._next = iter(()).__next__
+
+    def random(self) -> float:
+        try:
+            return self._next()
+        except StopIteration:
+            self._next = iter(self._rng.random(_BLOCK).tolist()).__next__
+            return self._next()
+
+
 class YcsbGenerator:
-    """Draws a stream of operations for a spec over ``record_count`` keys."""
+    """Draws a stream of operations for a spec over ``record_count`` keys.
+
+    The generator owns ``rng``: it reads the Zipfian and latest draws
+    ahead in blocks, so nothing else may draw from the same stream.  The
+    uniform distribution consumes ``rng.integers`` and stays on scalar
+    calls.
+    """
 
     def __init__(
         self,
@@ -96,7 +129,7 @@ class YcsbGenerator:
             raise WorkloadError("record_count must be positive")
         self.spec = spec
         self.record_count = record_count
-        self._rng = rng
+        self._rng = rng if spec.distribution == "uniform" else _UniformBlock(rng)
         self._chooser = self._make_chooser()
 
     def _make_chooser(self) -> KeyChooser:
