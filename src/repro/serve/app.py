@@ -42,7 +42,7 @@ import math
 import signal
 import sys
 import threading
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from ..errors import ConfigurationError, is_retryable
 from .jobs import JobManager
@@ -102,6 +102,7 @@ class ServeApp:
         )
         self.port: Optional[int] = None
         self._server: Optional[asyncio.AbstractServer] = None
+        self._connections: Set["asyncio.Task[None]"] = set()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -114,19 +115,31 @@ class ServeApp:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def drain_and_stop(self, budget_s: Optional[float] = None) -> bool:
-        """Graceful shutdown: stop accepting, checkpoint, flush, close."""
+        """Graceful shutdown: stop accepting, checkpoint, flush, close.
+
+        Connections still open after the drain (event streams of
+        checkpointed jobs, which will never see a terminal event) are
+        cancelled and awaited, so every handler closes its socket while
+        the loop is still running.
+        """
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
         loop = asyncio.get_event_loop()
-        return await loop.run_in_executor(
+        clean = await loop.run_in_executor(
             None, self.manager.drain, budget_s
         )
+        for task in self._connections:
+            task.cancel()
+        await asyncio.gather(*self._connections, return_exceptions=True)
+        return clean
 
     # -- connection handling ------------------------------------------------
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
             try:
                 method, path, body = await asyncio.wait_for(
@@ -149,6 +162,7 @@ class ServeApp:
             except (BrokenPipeError, ConnectionResetError):
                 pass
             writer.close()
+            self._connections.discard(task)
 
     async def _read_request(
         self, reader: asyncio.StreamReader

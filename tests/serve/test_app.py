@@ -1,5 +1,6 @@
 """The HTTP front-end, end to end over real sockets."""
 
+import gc
 import json
 import time
 
@@ -135,9 +136,15 @@ class TestBackpressure:
             _config(max_running=1, queue_depth=1), cache=cache
         ) as server:
             client = ServeClient("127.0.0.1", server.port)
-            accepted = []
+            # Fill the queue behind a job known to be running: were the
+            # first job still queued, the next submit would be shed and
+            # the queue would then drain as the first job is promoted.
+            accepted = [client.submit(SLOW).json["id"]]
+            client.wait_for_event(
+                accepted[0], lambda e: e["event"] == "running", timeout_s=30.0
+            )
             shed = None
-            for _ in range(6):
+            for _ in range(5):
                 response = client.submit(SLOW)
                 if response.status == 201:
                     accepted.append(response.json["id"])
@@ -217,6 +224,26 @@ class TestDrain:
             assert landed["state"] == "done"
             assert landed["resumed"] >= 1
             assert client.result(job_id) == reference_bytes(SLOW)
+
+    @pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning"
+    )
+    def test_open_stream_is_closed_before_the_loop(self, tmp_path):
+        server = BackgroundServer(
+            _config(), cache=SweepCache(root=str(tmp_path / "cache"))
+        ).start()
+        client = ServeClient("127.0.0.1", server.port)
+        job_id = client.submit(SLOW).json["id"]
+        stream = client.events(job_id, timeout_s=30.0)
+        assert next(e for e in stream if e["event"] == "running")
+        # The stream's handler is still waiting for events when the
+        # drain runs; it must be closed while its loop is still open.
+        assert server.stop() is True
+        stream.close()
+        # A leaked handler is pinned until its last one-second event
+        # poll returns; after that, collecting it must raise nothing.
+        time.sleep(1.5)
+        gc.collect()
 
 
 class TestRequestHygiene:
